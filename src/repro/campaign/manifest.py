@@ -197,14 +197,30 @@ class Manifest:
         path = Path(path)
         try:
             return Manifest.load(path)
+        except ManifestError:
+            recovered = Manifest.load_or_backup(path)
+            # Re-publish the good copy so later saves rotate sane content.
+            recovered.save(path)
+            return recovered
+
+    @staticmethod
+    def load_or_backup(path: str | Path) -> "Manifest":
+        """Load ``path``, else its ``.bak`` rotation; never writes anything.
+
+        For readers of a manifest that another process may be saving (fleet
+        status pages): between the writer's two renames the primary is
+        missing, and re-publishing the backup then — as
+        :meth:`load_or_recover` does — would race the writer's rotation.
+        Raises the primary's error when neither copy is readable.
+        """
+        path = Path(path)
+        try:
+            return Manifest.load(path)
         except ManifestError as exc:
             backup = Path(str(path) + BACKUP_SUFFIX)
             if not backup.exists():
                 raise
             try:
-                recovered = Manifest.load(backup)
+                return Manifest.load(backup)
             except ManifestError:
                 raise exc from None
-            # Re-publish the good copy so later saves rotate sane content.
-            recovered.save(path)
-            return recovered

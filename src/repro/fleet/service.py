@@ -776,7 +776,10 @@ class ServiceThread:
             for task in asyncio.all_tasks(loop):
                 task.cancel()
 
-        loop.call_soon_threadsafe(_cancel_all)
+        try:
+            loop.call_soon_threadsafe(_cancel_all)
+        except RuntimeError:
+            pass  # a drained service closes its loop on its own: nothing to cancel
         self._thread.join(timeout=30)
 
     def __enter__(self) -> "ServiceThread":

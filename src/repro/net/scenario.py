@@ -430,10 +430,11 @@ class Scenario:
     # ---------------------------------------------------------------- run ----
 
     def warm_caches(self) -> None:
-        """Precompute per-sender link geometry before the first frame flies.
+        """Precompute per-sender hearer tables before the first frame flies.
 
         Purely a cache warm — the same tables are built lazily on first
-        transmit otherwise, with identical contents (no RNG is involved), so
+        transmit otherwise (and rebuilt if a radio attaches or the medium's
+        thresholds change), with identical contents (no RNG is involved), so
         running this changes wall time, never behavior.  The perf harness
         calls it so timed regions measure the event loop, not one-time
         O(nodes^2) topology setup.
@@ -441,9 +442,6 @@ class Scenario:
         medium = self.medium
         for radio in medium.radios:
             medium._reach_from(radio)
-            hearers_from = getattr(medium, "_hearers_from", None)
-            if hearers_from is not None:
-                hearers_from(radio)
 
     def run(self, duration_s: float) -> None:
         """Advance the simulation by ``duration_s`` seconds.

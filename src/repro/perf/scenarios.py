@@ -143,21 +143,21 @@ def _fig8_nav_tcp(seed: int) -> BuiltScenario:
 @_register(
     "dense_hotspot",
     "48 spatially separated hotspot cells (240 nodes) with the paper's "
-    "Figure 23 ranges — the dense-deployment stress the backends diverge on",
+    "Figure 23 ranges — 4 hearers per frame among 240 radios",
     duration_s=0.5,
 )
 def _dense_hotspot(seed: int) -> BuiltScenario:
     """A grid of independent hotspot cells, one AP + 4 uplink clients each.
 
     Cells are spaced 250 m apart with the paper's 55 m communication /
-    99 m interference ranges (Figure 23), so every sender's reach list holds
-    all 239 other radios while only its own cell can hear it.  The scalar
-    medium pays the full O(nodes) threshold filter per transmitted frame;
-    the vectorized backend prefilters once per topology — this scenario is
-    where that gap is widest, and it stands in for the dense-deployment
-    campaigns the ROADMAP targets.  Cell 0's AP inflates the NAV of its MAC
-    ACKs (the no-RTS variant of the paper's receiver misbehavior), keeping
-    the greedy machinery on the timed path.
+    99 m interference ranges (Figure 23), so only its own cell (4 of the
+    239 other radios) can hear a sender.  The medium's per-sender hearer
+    tables hold just those 4, so a frame costs O(hearers), not O(nodes);
+    the O(nodes^2) table build happens once per topology.  The scenario
+    stands in for the dense-deployment campaigns the ROADMAP targets, where
+    event dispatch, not geometry, sets the pace.  Cell 0's AP inflates the
+    NAV of its MAC ACKs (the no-RTS variant of the paper's receiver
+    misbehavior), keeping the greedy machinery on the timed path.
     """
     cells, clients, spacing = 48, 4, 250.0
     s = Scenario(

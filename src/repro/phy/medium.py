@@ -218,12 +218,14 @@ class Medium:
         # directly from ``rng``), fall back to draw-on-demand (batch=1) so
         # the interleaving of uniform and Gaussian draws is untouched.
         self._uniform = BatchedUniform(rng, batch=256 if rssi_jitter is None else 1)
-        # sender -> [(receiver, rss, propagation delay in us), ...] for every
-        # other radio, in attach order.  Positions and the path-loss model are
-        # fixed once traffic starts, so the per-frame geometry math is
-        # computed once per sender (thresholds stay per-frame comparisons:
-        # they may be reconfigured at any time via ``configure_ranges``).
-        self._reach: dict[Radio, list[tuple[Radio, float, float]]] = {}
+        # sender -> hearer table: (on_tx_start, on_tx_end, rss, propagation
+        # delay in us, decodable) for every radio at or above cs_threshold, in
+        # attach order.  Positions and the path-loss model are fixed once
+        # traffic starts, so each table is built once per sender and reused
+        # until a radio attaches or the thresholds it was built for change
+        # (``configure_ranges`` or a direct assignment, at any time).
+        self._reach: dict[Radio, list[tuple]] = {}
+        self._reach_key = (self.cs_threshold, self.rx_threshold)
         # rss (linear) -> dB, memoized: each link contributes one value.
         self._rss_db: dict[float, float] = {}
 
@@ -262,10 +264,15 @@ class Medium:
 
     # -- transmission ----------------------------------------------------------
 
-    def _reach_from(self, sender: Radio) -> list[tuple[Radio, float, float]]:
-        """Cached (receiver, rss, propagation delay) list for ``sender``."""
+    def _reach_from(self, sender: Radio) -> list[tuple]:
+        """Cached hearer table for ``sender`` (see ``_reach`` in ``__init__``)."""
+        key = (self.cs_threshold, self.rx_threshold)
+        if key != self._reach_key:  # thresholds changed since the last build
+            self._reach.clear()
+            self._reach_key = key
         reach = self._reach.get(sender)
         if reach is None:
+            cs_threshold, rx_threshold = key
             rss_fn = self.pathloss.rss
             tx_power = sender.tx_power
             reach = []
@@ -273,8 +280,14 @@ class Medium:
                 if receiver is sender:
                     continue
                 d = distance(sender.position, receiver.position)
+                rss = rss_fn(tx_power, d)
+                if rss < cs_threshold:
+                    continue  # out of interference range: hears nothing
                 delay = d / SPEED_OF_LIGHT_M_PER_US if self.propagation_delay else 0.0
-                reach.append((receiver, rss_fn(tx_power, d), delay))
+                decodable = rss >= rx_threshold
+                reach.append(
+                    (receiver._on_tx_start, receiver._on_tx_end, rss, delay, decodable)
+                )
             self._reach[sender] = reach
         return reach
 
@@ -294,13 +307,9 @@ class Medium:
         sender._begin_transmit(tx.end)
         call_after = sim.call_after
         call_after(duration, sender._end_transmit)
-        cs_threshold = self.cs_threshold
-        rx_threshold = self.rx_threshold
-        for receiver, rss, delay in self._reach_from(sender):
-            if rss < cs_threshold:
-                continue  # out of interference range: hears nothing
-            call_after(delay, receiver._on_tx_start, tx, rss, rss >= rx_threshold)
-            call_after(duration + delay, receiver._on_tx_end, tx, rss)
+        for on_tx_start, on_tx_end, rss, delay, decodable in self._reach_from(sender):
+            call_after(delay, on_tx_start, tx, rss, decodable)
+            call_after(duration + delay, on_tx_end, tx, rss)
 
     def _deliver(self, tx: _Transmission, receiver: Radio, lock: _Lock) -> None:
         frame = tx.frame
@@ -355,18 +364,14 @@ class VectorizedMedium(Medium):
     """:class:`Medium` with batch-precomputed hot paths (``vectorized`` backend).
 
     Observable behavior is **bit-identical** to the base class — the golden
-    traces and :mod:`repro.perf.diff` enforce it.  Three substitutions:
+    traces and :mod:`repro.perf.diff` enforce it.  Two substitutions (the
+    per-sender hearer tables ``transmit`` walks are the base class's):
 
     * Per-frame corruption/address uniforms come from
       :class:`repro.sim.rng.NumpyBlockUniform` (MT19937 state transplanted
       into numpy; block refills replay the scalar stream exactly).  With an
       RSSI-jitter callable the medium keeps the scalar draw-on-demand
       wrapper, because jitter interleaves Gaussian draws on the same stream.
-    * ``transmit`` iterates a **prefiltered hearer table**
-      (:func:`repro.phy.vectorized.hearer_table`): the per-receiver
-      threshold comparisons move out of the per-frame loop into one numpy
-      compare per ``(sender, thresholds)``, and the ``_on_tx_start`` /
-      ``_on_tx_end`` bound methods are hoisted once per entry.
     * ``_deliver`` replaces the table-walk in
       :meth:`BitErrorModel.is_corrupted` with a flat **corruption-plan
       cache** keyed ``(src, dst, size, is_data, rate)``, invalidated by the
@@ -380,57 +385,9 @@ class VectorizedMedium(Medium):
             from repro.sim.rng import NumpyBlockUniform
 
             self._uniform = NumpyBlockUniform(self.rng, block=rng_block)
-        # sender -> [(on_tx_start, on_tx_end, rss, delay, decodable)] with
-        # sub-cs receivers already dropped; valid for _hearers_key thresholds.
-        self._hearers: dict[Radio, list[tuple]] = {}
-        self._hearers_key = (self.cs_threshold, self.rx_threshold)
         # (src, dst, size, is_data, rate) -> corruption probability or None.
         self._plan: dict[tuple, Any] = {}
         self._plan_key: tuple | None = None
-
-    def _attach(self, radio: Radio) -> None:
-        super()._attach(radio)
-        self._hearers.clear()
-
-    def _hearers_from(self, sender: Radio) -> list[tuple]:
-        key = (self.cs_threshold, self.rx_threshold)
-        if key != self._hearers_key:  # configure_ranges() ran mid-scenario
-            self._hearers.clear()
-            self._hearers_key = key
-        hearers = self._hearers.get(sender)
-        if hearers is None:
-            from repro.phy.vectorized import hearer_table
-
-            hearers = [
-                (receiver._on_tx_start, receiver._on_tx_end, rss, delay, decodable)
-                for receiver, rss, delay, decodable in hearer_table(
-                    self._reach_from(sender), key[0], key[1]
-                )
-            ]
-            self._hearers[sender] = hearers
-        return hearers
-
-    def transmit(self, sender: Radio, frame: Any, duration: float) -> None:
-        # Mirror of Medium.transmit with the threshold filter precomputed.
-        if sender.transmitting:
-            raise RuntimeError(f"{sender.name}: already transmitting")
-        if duration <= 0:
-            raise ValueError(f"non-positive airtime: {duration}")
-        sim = self.sim
-        tx = _Transmission(sender, frame, sim.now, sim.now + duration)
-        self.frames_sent += 1
-        obs = self.obs
-        if obs is not None:
-            obs.inc(f"phy.{sender.name}.tx_frames")
-            obs.inc(f"phy.{sender.name}.tx_airtime_us", duration)
-        sender._begin_transmit(tx.end)
-        call_after = sim.call_after
-        call_after(duration, sender._end_transmit)
-        for on_tx_start, on_tx_end, rss, delay, decodable in self._hearers_from(
-            sender
-        ):
-            call_after(delay, on_tx_start, tx, rss, decodable)
-            call_after(duration + delay, on_tx_end, tx, rss)
 
     def _deliver(self, tx: _Transmission, receiver: Radio, lock: _Lock) -> None:
         # Mirror of Medium._deliver with the corruption roll cached flat.
@@ -503,7 +460,7 @@ class SinrRadio(Radio):
         # Power of every audible in-flight transmission, in arrival order.
         # Plain insertion-ordered dict: the deterministic left-to-right
         # interference sum must be identical across backends, which holds
-        # because both schedule ``_on_tx_start`` in reach-list order.
+        # because both walk the same hearer table, in attach order.
         self._rss: dict[_Transmission, float] = {}
         super().__init__(*args, **kwargs)
 
@@ -624,8 +581,8 @@ class SinrMedium(_SinrMixin, Medium):
 class VectorizedSinrMedium(_SinrMixin, VectorizedMedium):
     """:class:`VectorizedMedium` with SINR-based reception.
 
-    Bit-identical to :class:`SinrMedium` — the hearer tables preserve
-    reach-list order, so ``_on_tx_start`` arrival order (and with it the
+    Bit-identical to :class:`SinrMedium` — both walk the inherited hearer
+    tables, so ``_on_tx_start`` arrival order (and with it the
     interference-sum order) matches the scalar medium exactly; the
     cross-backend differential harness enforces it on the SINR golden set.
     """

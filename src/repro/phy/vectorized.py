@@ -27,7 +27,7 @@ and FER saturation at 1.0.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.phy.error import PLCP_BYTES, frame_error_rate
 
@@ -126,40 +126,9 @@ def sinr_array(
     return rss_a / (noise_floor + interference_a)
 
 
-def hearer_table(
-    entries: "Sequence[tuple[Any, float, float]]",
-    cs_threshold: float,
-    rx_threshold: float,
-) -> "list[tuple[Any, float, float, bool]]":
-    """Prefilter a sender's reach list against the medium thresholds.
-
-    ``entries`` is the scalar reach cache — ``(receiver, rss, delay)``
-    triples — and the result keeps only receivers inside interference range,
-    with the decodability flag (``rss >= rx_threshold``) precomputed.  The
-    scalar ``transmit`` loop performs both comparisons per frame per
-    receiver; the vectorized medium performs them once per
-    ``(topology, thresholds)`` here, as one numpy compare over the RSS
-    vector.  Flags are converted to plain ``bool`` — ``numpy.bool_`` must
-    never reach the MAC or the trace serializer.
-    """
-    import numpy as np
-
-    if not entries:
-        return []
-    rss = np.array([e[1] for e in entries], dtype=np.float64)
-    audible = rss >= cs_threshold
-    decodable = (rss >= rx_threshold).tolist()
-    return [
-        (receiver, link_rss, delay, decodable[i])
-        for i, (receiver, link_rss, delay) in enumerate(entries)
-        if audible[i]
-    ]
-
-
 __all__ = [
     "airtime_array",
     "fer_array",
-    "hearer_table",
     "phy_airtime_array",
     "sinr_array",
 ]

@@ -230,6 +230,8 @@ class Simulator:
         bound = _INF if until is None else until
         heap = self._heap
         pop = heapq.heappop
+        # Counted in a local and published when run() returns (or raises).
+        processed = 0
         try:
             while heap:
                 if heap is not self._heap:  # compaction swapped the list
@@ -247,7 +249,7 @@ class Simulator:
                         heappush(heap, entry)  # once per run(): restore & stop
                         break
                     self.now = time
-                    self.events_processed += 1
+                    processed += 1
                     self._live -= 1
                     event._fire()
                 else:  # fire-and-forget (fn, args) payload
@@ -256,12 +258,13 @@ class Simulator:
                         heappush(heap, entry)
                         break
                     self.now = time
-                    self.events_processed += 1
+                    processed += 1
                     self._live -= 1
                     tag(*payload[1])
             if until is not None and until > self.now:
                 self.now = until
         finally:
+            self.events_processed += processed
             self._running = False
 
     def run_until_idle(self) -> None:

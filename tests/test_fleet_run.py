@@ -167,6 +167,48 @@ def test_fleet_status_document(tmp_path, spec):
     json.dumps(doc)  # the whole document is JSON-serializable
 
 
+def test_fleet_status_reads_live_shard_manifests_without_writing(tmp_path, spec, monkeypatch):
+    import threading
+
+    import repro.campaign.manifest as manifest_module
+    from repro.campaign.manifest import BACKUP_SUFFIX, Manifest
+
+    fleet_out = tmp_path / "fleet"
+    run_fleet(spec, fleet_out, n_shards=2, executor="local")
+    live = shard_dir(fleet_out, 0) / "manifest.json"
+    manifest = Manifest.load(live)
+
+    writers: set[int] = set()
+    real_write = manifest_module.atomic_write_text
+
+    def recording_write(*args, **kwargs):
+        writers.add(threading.get_ident())
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(manifest_module, "atomic_write_text", recording_write)
+
+    # Mid-rotation: the primary is gone and only the backup is left.
+    live.replace(str(live) + BACKUP_SUFFIX)
+    assert fleet_status_document(fleet_out)["shards"][0]["done"] == manifest.count("done")
+    assert not live.exists() and writers == set()
+
+    def save_repeatedly():
+        for _ in range(300):
+            manifest.save(live)
+
+    writer = threading.Thread(target=save_repeatedly)
+    writer.start()
+    reads = 0
+    try:
+        while writer.is_alive() or reads == 0:
+            doc = fleet_status_document(fleet_out)
+            assert doc["shards"][0]["done"] == manifest.count("done")
+            reads += 1
+    finally:
+        writer.join()
+    assert writers == {writer.ident}
+
+
 # -------------------------------------------------------------------- CLI ---
 
 

@@ -277,3 +277,19 @@ def test_cli_fleet_status_url_and_cancel(tmp_path, service, capsys):
     assert main(["fleet", "cancel", job, "--url", service]) == 2
     assert "409" in capsys.readouterr().err
     assert main(["fleet", "status"]) == 2
+
+
+def test_stop_after_the_loop_closed_on_its_own(tmp_path):
+    # A drained service returns from its loop, which closes while the
+    # thread is still unwinding; stop() in that window must not raise.
+    import asyncio
+    import threading
+    import time
+
+    thread = ServiceThread(tmp_path / "fleet-root", executor="local")
+    thread._loop = asyncio.new_event_loop()
+    thread._loop.close()
+    thread._thread = threading.Thread(target=time.sleep, args=(0.2,), daemon=True)
+    thread._thread.start()
+    thread.stop()
+    assert not thread._thread.is_alive()

@@ -6,6 +6,7 @@ from repro.mac.frames import Frame, FrameKind
 from repro.phy.error import BitErrorModel
 from repro.phy.medium import Medium, Radio
 from repro.phy.params import dot11b
+from repro.phy.propagation import SPEED_OF_LIGHT_M_PER_US, distance
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
@@ -209,3 +210,77 @@ def test_carrier_busy_during_own_transmission():
     assert a.carrier_busy
     sim.run()
     assert not a.carrier_busy
+
+
+# -- hearer tables: built once per sender, invalidated on change -------------
+
+
+def test_hearer_table_holds_radios_at_or_above_cs_threshold_in_attach_order():
+    # Boundary radios sit exactly at 55 m and 99 m: "at or above" includes them.
+    positions = [(0, 0), (120, 0), (99, 0), (10, 0), (55, 0), (70, 0), (0, 56)]
+    sim, medium, radios = make_medium(positions)
+    medium.configure_ranges(55.0, 99.0)
+    sender = radios[0]
+    expected = []
+    for receiver in radios[1:]:
+        rss = medium.rss_between(sender, receiver)
+        if rss >= medium.cs_threshold:
+            delay = distance(sender.position, receiver.position) / SPEED_OF_LIGHT_M_PER_US
+            decodable = rss >= medium.rx_threshold
+            expected.append((receiver._on_tx_start, receiver._on_tx_end, rss, delay, decodable))
+    table = medium._reach_from(sender)
+    assert table == expected
+    assert [entry[0].__self__.name for entry in table] == ["r2", "r3", "r4", "r5", "r6"]
+    assert [entry[4] for entry in table] == [False, True, True, False, False]
+    assert all(type(entry[4]) is bool for entry in table)
+
+
+def test_configure_ranges_after_traffic_changes_hearers():
+    sim, medium, (a, b) = make_medium([(0, 0), (70, 0)])
+    a.transmit(data_frame(seq=1), 957.0)  # default ranges: b decodes
+    sim.run()
+    assert len(b.mac.received) == 1
+    medium.configure_ranges(55.0, 99.0)  # b now only senses
+    a.transmit(data_frame(seq=2), 957.0)
+    sim.run()
+    assert len(b.mac.received) == 1
+    assert b.mac.busy_transitions == ["busy", "idle", "busy", "idle"]
+    medium.configure_ranges(55.0, 60.0)  # b is now out of range entirely
+    a.transmit(data_frame(seq=3), 957.0)
+    sim.run()
+    assert len(b.mac.received) == 1
+    assert b.mac.busy_transitions == ["busy", "idle", "busy", "idle"]
+    assert medium._reach_from(a) == []
+
+
+def test_radio_attached_after_first_transmit_is_heard():
+    sim, medium, (a, b) = make_medium([(0, 0), (10, 0)])
+    a.transmit(data_frame(seq=1), 957.0)
+    sim.run()
+    late = Radio(medium, "late", (20, 0))
+    late.mac = RecordingMac()
+    a.transmit(data_frame(seq=2), 957.0)
+    sim.run()
+    assert [frame.seq for frame, *_ in late.mac.received] == [2]
+    assert len(b.mac.received) == 2
+
+
+def test_direct_threshold_assignment_is_honoured():
+    sim, medium, (a, b) = make_medium([(0, 0), (10, 0)])
+    a.transmit(data_frame(seq=1), 957.0)
+    sim.run()
+    assert len(b.mac.received) == 1
+    link = medium.rss_between(a, b)
+    medium.rx_threshold = link * 2  # b still senses the frame but cannot decode
+    a.transmit(data_frame(seq=2), 957.0)
+    sim.run()
+    assert len(b.mac.received) == 1
+    assert b.mac.busy_transitions[-2:] == ["busy", "idle"]
+    medium.cs_threshold = link * 2  # b no longer even senses it
+    a.transmit(data_frame(seq=3), 957.0)
+    sim.run()
+    assert b.mac.busy_transitions == ["busy", "idle", "busy", "idle"]
+    medium.rx_threshold = medium.cs_threshold = 0.0  # back to hearing everyone
+    a.transmit(data_frame(seq=4), 957.0)
+    sim.run()
+    assert [frame.seq for frame, *_ in b.mac.received] == [1, 4]

@@ -116,34 +116,6 @@ def test_phy_airtime_array_matches_phy_airtime(size, explicit_rate):
         assert float(vector[0]) == scalar
 
 
-# ------------------------------------------------------------ hearer table --
-
-
-@given(
-    rss_values=st.lists(
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False), max_size=16
-    ),
-    cs_threshold=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-    rx_threshold=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-)
-def test_hearer_table_matches_scalar_threshold_filter(
-    rss_values, cs_threshold, rx_threshold
-):
-    from repro.phy.vectorized import hearer_table
-
-    entries = [(f"N{i}", rss, 1.0 + i) for i, rss in enumerate(rss_values)]
-    table = hearer_table(entries, cs_threshold, rx_threshold)
-    expected = [
-        (name, rss, delay, rss >= rx_threshold)
-        for name, rss, delay in entries
-        if rss >= cs_threshold
-    ]
-    assert table == expected
-    for _name, _rss, _delay, decodable in table:
-        # numpy.bool_ would compare equal but poison JSON serialization.
-        assert type(decodable) is bool
-
-
 # -------------------------------------------- corruption plan <-> roll -----
 
 
