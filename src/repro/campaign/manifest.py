@@ -20,6 +20,12 @@ point (``retries``) and the most recent failure message (``last_failure``),
 persisted so ``repro campaign status`` can surface flaky points even after
 the run eventually succeeded.  Both fields default, so manifests written
 before the fault-tolerance layer still load.
+
+Cost accounting: ``PointState`` also records how many of the point's seeds
+were served from the result cache (``cache_hits``) and the wall time its
+seed fan-out took (``wall_s``), as of the attempt that completed it.  They
+describe how the run went, never what it measured, so reports and metrics
+fingerprints ignore them; older manifests load with zeros.
 """
 
 from __future__ import annotations
@@ -67,6 +73,11 @@ class PointState:
     #: Most recent failure message observed for this point, kept even after
     #: a later attempt succeeded (flakiness is worth surfacing).
     last_failure: str | None = None
+    #: Seeds served from the result cache, not simulated, by the attempt
+    #: that completed this point.
+    cache_hits: int = 0
+    #: Wall-clock seconds that attempt's seed fan-out took.
+    wall_s: float = 0.0
 
 
 @dataclass
@@ -122,6 +133,8 @@ class Manifest:
             "pending": self.count(PENDING),
             "complete": self.complete,
             "retries": sum(point.retries for point in self.points),
+            "cache_hits": sum(point.cache_hits for point in self.points),
+            "wall_s": sum(point.wall_s for point in self.points),
             "faults": dict(self.faults),
             "points": [
                 {
@@ -131,6 +144,8 @@ class Manifest:
                     "seeds_done": len(point.seeds_done),
                     "retries": point.retries,
                     "last_failure": point.last_failure or point.error,
+                    "cache_hits": point.cache_hits,
+                    "wall_s": point.wall_s,
                 }
                 for point in self.points
             ],

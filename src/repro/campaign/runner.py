@@ -22,6 +22,7 @@ leaves a valid partial record; ``--resume`` skips every point already done.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -254,6 +255,8 @@ def run_campaign(
             manifest.save(manifest_path(out))
             job = seed_job(builder, duration_s=spec.duration_s, **point.params)
             report = ExecutionReport()
+            hits_before = cache.hits if cache is not None else 0
+            started = time.perf_counter()
             try:
                 per_seed = map_over_seeds(
                     job, spec.seeds, jobs=jobs, cache=cache, pool=active,
@@ -269,6 +272,8 @@ def run_campaign(
                 failed += 1
                 say(f"{label} FAILED: {point.error}")
                 continue
+            point.wall_s = round(time.perf_counter() - started, 6)
+            point.cache_hits = cache.hits - hits_before if cache is not None else 0
             payload = {
                 "id": point.id,
                 "params": point.params,

@@ -528,6 +528,8 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             point.id,
             point.status,
             f"{len(point.seeds_done)}/{len(manifest.seeds)}",
+            str(point.cache_hits),
+            f"{point.wall_s:.2f}",
             str(point.retries),
             point.last_failure or point.error or "",
         ]
@@ -535,7 +537,9 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     ]
     print(
         format_table(
-            ["index", "point", "status", "seeds", "retries", "last failure"], rows
+            ["index", "point", "status", "seeds", "cached", "wall_s", "retries",
+             "last failure"],
+            rows,
         ),
         end="",
     )
@@ -727,7 +731,8 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
             print(
                 f"  shard {shard['shard']:2d}: {shard['status']:8s} "
                 f"{shard['done']}/{shard['points']} points, "
-                f"attempts {shard['attempts']}, retries {shard['retries']}{error}"
+                f"attempts {shard['attempts']}, retries {shard['retries']}, "
+                f"cache hits {shard['cache_hits']}{error}"
             )
         print(f"  merged: {doc['merged']}, complete: {doc['complete']}")
     if args.expect_complete and not doc["complete"]:

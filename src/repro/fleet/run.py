@@ -197,12 +197,15 @@ async def run_fleet_async(
     max_parallel: int | None = None,
     progress: Callable[[str], None] | None = None,
     executor_obj: FleetExecutor | None = None,
+    cache_dir: str | Path | None = None,
 ) -> FleetRun:
     """Run a campaign as ``n_shards`` shards; heal dead shards; merge.
 
     ``max_parallel`` caps concurrently dispatched shards (default: all).
     ``executor_obj`` injects a pre-built executor (tests use this to hook
     worker spawns); otherwise ``executor`` names one from the registry.
+    ``cache_dir`` is the result cache every shard worker shares (default
+    ``<out>/cache``); the fleet service points all of its jobs at one.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,7 +267,7 @@ async def run_fleet_async(
             shard=shard,
             n_shards=n_shards,
             jobs=jobs,
-            cache_dir=out / "cache",
+            cache_dir=Path(cache_dir) if cache_dir is not None else out / "cache",
         )
         while entry.attempts < max_shard_attempts:
             entry.attempts += 1
@@ -356,6 +359,8 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
 
     Combines ``fleet.json`` with live per-shard progress read from each
     shard's own campaign manifest, plus whether the merged artifacts exist.
+    ``cache_hits`` counts the seeds of done points that the result cache
+    served instead of simulating, per shard and for the whole job.
     Strictly read-only: workers may be saving those manifests right now.
     """
     out = Path(out_dir)
@@ -371,6 +376,7 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
             "done": 0,
             "failed": 0,
             "retries": 0,
+            "cache_hits": 0,
         }
         try:
             manifest = Manifest.load_or_backup(shard_dir(out, entry.shard) / "manifest.json")
@@ -380,6 +386,7 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
             doc["done"] = manifest.count(DONE)
             doc["failed"] = manifest.count("failed")
             doc["retries"] = sum(point.retries for point in manifest.points)
+            doc["cache_hits"] = sum(point.cache_hits for point in manifest.points)
         shards.append(doc)
     merged_manifest = None
     if state.merged:
@@ -397,5 +404,6 @@ def fleet_status_document(out_dir: str | Path) -> dict[str, Any]:
         "complete": bool(merged_manifest is not None and merged_manifest.complete),
         "total": sum(len(entry.point_ids) for entry in state.shards),
         "done": sum(doc["done"] for doc in shards),
+        "cache_hits": sum(doc["cache_hits"] for doc in shards),
         "shards": shards,
     }

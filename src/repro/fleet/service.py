@@ -43,6 +43,11 @@ order within a priority level, higher ``priority`` first), and a full
 queue answers 429 with ``Retry-After`` instead of accepting work it would
 only lose.  Jobs re-admitted by crash recovery bypass the bound — they
 were already accepted once.
+
+Every job's shards share one result cache at ``<root>/cache``, so a
+resubmitted sweep reads its points back instead of re-simulating them.
+Entries are keyed by the code-version token and checksummed, so a shared
+entry is only ever the bytes the job would have computed itself.
 """
 
 from __future__ import annotations
@@ -309,6 +314,7 @@ class FleetService:
                 jobs=job.record.jobs,
                 max_shard_attempts=self.max_shard_attempts,
                 max_parallel=self.max_parallel_shards,
+                cache_dir=self.root / "cache",
             )
             attempts = self._shard_attempts(job)
             if run.ok:

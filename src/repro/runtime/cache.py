@@ -21,9 +21,16 @@ tears an entry — so the per-entry locks here are purely advisory:
 :meth:`ResultCache.try_claim` plants an ``O_EXCL`` lock file before an
 expensive computation and :meth:`ResultCache.wait_for` lets the losing
 process block until the winner publishes the entry instead of recomputing
-it.  A claim whose holder died (stale pid, or lock older than
-``lock_stale_s``) is broken and the entry recomputed — a crashed shard can
-delay a sibling, never wedge it.
+it.  A claim whose holder died is broken and the entry recomputed — a
+crashed shard can delay a sibling, never wedge it.  The holder is identified
+by pid *and* process start time: a lock names its writer's pid, and a live
+process with that pid only holds it if it was already running when the lock
+was written.  So an orphan lock whose pid was reused by a later process (a
+service restarted as PID 1 of a fresh namespace finds its predecessor's
+locks carrying its own pid) is broken at once rather than waited on for
+``lock_stale_s``.  Where start times cannot be read (no ``/proc``), a lock
+is stale when its pid is dead, or when it is unreadable and older than
+``lock_stale_s``.
 """
 
 from __future__ import annotations
@@ -48,6 +55,12 @@ QUARANTINE_DIRNAME = "quarantine"
 
 #: Subdirectory (under the cache root) holding advisory per-entry locks.
 LOCKS_DIRNAME = "locks"
+
+#: How much earlier than its named holder's start a lock must have been
+#: written to prove the pid was reused.  Covers the clock-tick resolution of
+#: ``/proc/<pid>/stat`` start times and the coarse clock behind file mtimes
+#: (~10 ms each); erring towards "stale" costs one duplicate computation.
+_START_SLACK_S = 0.1
 
 #: Manual cache-epoch fence, mixed into :func:`code_version_token`.  Bump it
 #: whenever results must be recomputed for a reason the source digest cannot
@@ -102,6 +115,23 @@ def code_version_token() -> str:
         return token
     digest = hashlib.sha256(f"{token}:{extra}".encode())
     return digest.hexdigest()[:16]
+
+
+def process_start_time(pid: int) -> float | None:
+    """Wall-clock start time of the live process ``pid``; None if unknown.
+
+    Read from field 22 of ``/proc/<pid>/stat`` (clock ticks since boot).
+    None when the process does not exist or procfs is unavailable.
+    """
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+        # Fields after the parenthesised command name start at field 3.
+        ticks = int(stat.rsplit(")", 1)[1].split()[19])
+        since_boot = time.clock_gettime(time.CLOCK_BOOTTIME)
+        tick_s = 1.0 / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError, AttributeError):
+        return None
+    return time.time() - since_boot + ticks * tick_s
 
 
 def result_checksum(result: dict) -> str:
@@ -210,11 +240,11 @@ class ResultCache:
         """Claim the right to compute ``spec``'s entry; None if already held.
 
         The claim is an ``O_EXCL``-created lock file carrying the holder's
-        pid.  A lock whose holder is a dead process (or unreadable and older
-        than ``lock_stale_s``) is broken and re-claimed, so a SIGKILLed
-        worker never wedges its siblings.  Purely advisory: callers that
-        skip claiming still behave correctly, they just risk computing the
-        same entry twice.
+        pid.  A lock whose holder is gone (see :meth:`_lock_is_stale`) is
+        broken and re-claimed, so a SIGKILLed worker never wedges its
+        siblings, nor the process that later reuses its pid.  Purely
+        advisory: callers that skip claiming still behave correctly, they
+        just risk computing the same entry twice.
         """
         path = self.lock_path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -241,12 +271,24 @@ class ResultCache:
         return None
 
     def _lock_is_stale(self, path: Path) -> bool:
-        """Whether a held lock's owner is provably or presumably gone."""
+        """Whether a held lock's owner is provably or presumably gone.
+
+        The owner is the process named by the lock's pid that was already
+        running when the lock was written (its mtime).  A process with that
+        pid which started later merely reuses it, so the lock is an orphan.
+        """
         try:
             pid = int(path.read_text().strip())
         except (OSError, ValueError):
             pid = None  # torn/unreadable lock: age decides below
         if pid is not None:
+            started = process_start_time(pid)
+            if started is not None:
+                try:
+                    written = path.stat().st_mtime
+                except OSError:
+                    return False  # lock vanished: released, not stale
+                return written < started - _START_SLACK_S
             if pid == os.getpid():
                 return False  # our own claim (another thread of this process)
             try:

@@ -251,6 +251,7 @@ def test_status_json_emits_machine_readable_document(spec_path, tmp_path, capsys
     for point in doc["points"]:
         assert set(point) == {
             "index", "id", "status", "seeds_done", "retries", "last_failure",
+            "cache_hits", "wall_s",
         }
         assert point["status"] == "done"
         assert point["seeds_done"] == 2

@@ -82,6 +82,25 @@ def test_rerun_without_resume_hits_the_cache(tmp_path):
     assert again.cache_stats["hits"] == 4  # ... but every seed comes from cache
 
 
+def test_manifest_accounts_cache_hits_and_wall_time_per_point(tmp_path):
+    spec = small_spec()
+    first = run_campaign(spec, out_dir=tmp_path / "first", cache_dir=tmp_path / "cache")
+    again = run_campaign(spec, out_dir=tmp_path / "again", cache_dir=tmp_path / "cache")
+    assert [p.cache_hits for p in first.manifest.points] == [0, 0]
+    assert [p.cache_hits for p in again.manifest.points] == [2, 2]
+    assert all(p.wall_s > 0 for p in first.manifest.points + again.manifest.points)
+
+    doc = Manifest.load(manifest_path(tmp_path / "again")).status_document()
+    assert doc["cache_hits"] == 4
+    assert [point["cache_hits"] for point in doc["points"]] == [2, 2]
+    assert doc["wall_s"] == sum(point["wall_s"] for point in doc["points"])
+    # Accounting describes the run, not the measurement: reports are unchanged.
+    for name in ("results.csv", "results.json"):
+        assert (tmp_path / "first" / name).read_bytes() == (
+            tmp_path / "again" / name
+        ).read_bytes()
+
+
 def test_resume_after_simulated_interrupt(tmp_path):
     spec = small_spec()
     run_campaign(spec, out_dir=tmp_path)
@@ -261,8 +280,12 @@ def test_manifest_from_before_fault_tolerance_still_loads(tmp_path):
     for point in data["points"]:
         point.pop("retries", None)
         point.pop("last_failure", None)
+        point.pop("cache_hits", None)
+        point.pop("wall_s", None)
     path.write_text(json.dumps(data))
 
     loaded = Manifest.load(path)
     assert loaded.faults == {}
     assert all(p.retries == 0 and p.last_failure is None for p in loaded.points)
+    assert all(p.cache_hits == 0 and p.wall_s == 0.0 for p in loaded.points)
+    assert loaded.status_document()["cache_hits"] == 0

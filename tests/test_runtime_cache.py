@@ -393,3 +393,93 @@ def test_salt_bump_invalidates_stored_entries(tmp_path):
     # A different token (as a salt bump produces) misses; the old one hits.
     assert ResultCache(tmp_path, version="token-epoch-2").get(spec) is None
     assert ResultCache(tmp_path, version="token-epoch-1").get(spec) == RESULT
+
+
+# ------------------------------------------ holder identity: pid + start ---
+
+
+def _plant_lock(cache, spec, pid, written):
+    import os
+
+    lock = cache.lock_path_for(spec)
+    lock.parent.mkdir(parents=True, exist_ok=True)
+    lock.write_text(str(pid))
+    os.utime(lock, (written, written))
+    return lock
+
+
+def _start_time(pid):
+    from repro.runtime.cache import process_start_time
+
+    started = process_start_time(pid)
+    if started is None:
+        pytest.skip("process start times are not readable on this platform")
+    return started
+
+
+def test_orphan_lock_naming_our_own_reused_pid_is_broken_at_once(tmp_path):
+    """A service restarted as PID 1 of a fresh namespace finds its
+    predecessor's lock carrying its own pid: written before this process
+    started, so no thread of ours can hold it."""
+    import os
+    import time
+
+    cache = ResultCache(tmp_path, version="v1")  # default 900 s staleness
+    spec = make_spec()
+    lock = _plant_lock(cache, spec, os.getpid(), _start_time(os.getpid()) - 3600.0)
+    claim = cache.try_claim(spec)
+    assert claim is not None
+    assert cache.stats()["lock_breaks"] == 1
+    assert cache.stats()["claim_conflicts"] == 0
+    claim.release()
+
+    _plant_lock(cache, spec, os.getpid(), _start_time(os.getpid()) - 3600.0)
+    start = time.monotonic()
+    assert cache.wait_for(spec, poll_s=0.01) is None  # no 900 s wait
+    assert time.monotonic() - start < 5.0
+    assert lock.exists()  # wait_for only reports; the next claim breaks it
+
+
+def test_claim_held_by_another_live_thread_is_honoured(tmp_path):
+    import threading
+
+    holder = ResultCache(tmp_path, version="v1")
+    contender = ResultCache(tmp_path, version="v1")
+    spec = make_spec()
+    claims = []
+    thread = threading.Thread(target=lambda: claims.append(holder.try_claim(spec)))
+    thread.start()
+    thread.join()
+    assert claims[0] is not None
+    try:
+        assert contender.try_claim(spec) is None
+        assert contender.stats()["lock_breaks"] == 0
+        assert contender.stats()["claim_conflicts"] == 1
+        assert contender._lock_is_stale(contender.lock_path_for(spec)) is False
+    finally:
+        claims[0].release()
+
+
+def test_lock_of_a_live_process_that_started_after_it_was_written_is_stale(tmp_path):
+    import subprocess
+    import sys
+
+    cache = ResultCache(tmp_path, version="v1")
+    spec = make_spec()
+    proc = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    try:
+        started = _start_time(proc.pid)
+        # Written while the process ran: it is the holder, however old.
+        lock = _plant_lock(cache, spec, proc.pid, started + 0.5)
+        assert cache._lock_is_stale(lock) is False
+        assert cache.try_claim(spec) is None
+        # Written before it existed: the pid was reused, the lock orphaned.
+        _plant_lock(cache, spec, proc.pid, started - 60.0)
+        assert cache._lock_is_stale(lock) is True
+        claim = cache.try_claim(spec)
+        assert claim is not None
+        assert cache.stats()["lock_breaks"] == 1
+        claim.release()
+    finally:
+        proc.kill()
+        proc.wait()
